@@ -17,20 +17,34 @@ RpcServer::RpcServer(core::Host& host, std::uint16_t port, const tcp::TcpConfig&
     host_.tcp().listen(
         port,
         [this](std::shared_ptr<tcp::TcpSocket> socket) {
-            auto conn = std::make_shared<Conn>();
+            auto conn = std::make_unique<Conn>();
             conn->socket = socket;
-            conns_.push_back(conn);
+            conn->index = conns_.size();
             // Raw Conn capture: the socket owns these callbacks, so a
             // strong capture of the Conn (which owns the socket) would be
-            // a reference cycle. conns_ keeps the Conn alive for the
-            // server's lifetime, the same contract as the `this` capture.
+            // a reference cycle. conns_ keeps the Conn alive until the
+            // socket closes, and a closed socket calls none of them again.
             Conn* c = conn.get();
+            conns_.push_back(std::move(conn));
             socket->on_data = [this, c](std::span<const std::uint8_t> data) {
                 on_bytes(*c, data);
             };
             socket->on_remote_close = [c] { c->socket->close(); };
+            // The stack still holds the socket until its deferred release,
+            // so dropping the Conn's reference here is safe.
+            socket->on_closed = [this, c] { release(*c); };
         },
         rpc_config);
+}
+
+void RpcServer::release(Conn& conn) {
+    // Swap-pop by the stored index: O(1) however many are open.
+    const std::size_t index = conn.index;
+    if (index + 1 != conns_.size()) {
+        std::swap(conns_[index], conns_.back());
+        conns_[index]->index = index;
+    }
+    conns_.pop_back();  // destroys `conn`
 }
 
 void RpcServer::on_bytes(Conn& conn, std::span<const std::uint8_t> data) {

@@ -21,17 +21,21 @@ public:
     RpcServer(core::Host& host, std::uint16_t port, const tcp::TcpConfig& config = {});
 
     std::uint64_t requests_served() const noexcept { return served_; }
+    /// Accepted connections not yet closed; a closed one is released.
+    std::size_t open_connections() const noexcept { return conns_.size(); }
 
 private:
     struct Conn {
         std::shared_ptr<tcp::TcpSocket> socket;
         util::ByteBuffer accum;
+        std::size_t index = 0;  ///< own slot in conns_
     };
 
     void on_bytes(Conn& conn, std::span<const std::uint8_t> data);
+    void release(Conn& conn);
 
     core::Host& host_;
-    std::vector<std::shared_ptr<Conn>> conns_;
+    std::vector<std::unique_ptr<Conn>> conns_;
     std::uint64_t served_ = 0;
 };
 

@@ -1,8 +1,11 @@
 #include "core/internetwork.h"
 
 #include <algorithm>
+#include <atomic>
+#include <exception>
 #include <limits>
 #include <stdexcept>
+#include <thread>
 
 namespace catenet::core {
 
@@ -168,70 +171,136 @@ std::uint32_t Internetwork::add_leaf_lan(Gateway& gateway, std::uint32_t hosts,
 void Internetwork::use_static_routes() {
     constexpr std::uint32_t kInf = std::numeric_limits<std::uint32_t>::max();
     store_.build_csr();
-    const std::size_t n = store_.node_count();
-    std::vector<std::uint32_t> dist(n, kInf);
-    std::vector<const Incidence*> first_hop(n, nullptr);
-    std::vector<NodeId> frontier;
-    std::vector<ip::Route> batch;
+
+    // The subnet rows, worked out once for every origin: prefix plus the
+    // attached nodes, stably sorted into the routing table's key order.
+    // Each origin's batch is then built already sorted, and bulk_load
+    // skips its dedup sort. Equal
+    // prefixes keep allocation order, so keep-last dedup still keeps the
+    // last-allocated subnet's route.
+    struct Row {
+        util::Ipv4Prefix prefix;
+        std::uint32_t first;  ///< into `attached`
+        std::uint32_t count;
+    };
+    std::vector<Row> rows;
+    std::vector<NodeId> attached;
+    rows.reserve(store_.subnets().size());
     TopologyStore::Attachment scratch[2];
+    for (const TopologyStore::SubnetRef& ref : store_.subnets()) {
+        const auto atts = store_.subnet_attachments(ref, scratch);
+        rows.push_back(Row{store_.subnet_prefix(ref),
+                           static_cast<std::uint32_t>(attached.size()),
+                           static_cast<std::uint32_t>(atts.size())});
+        for (const TopologyStore::Attachment& att : atts) attached.push_back(att.node);
+    }
+    std::stable_sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
+        return ip::RoutingTable::precedes(a.prefix, b.prefix);
+    });
+    const ip::RouteOrigin origin_static(ip::RouteOrigin::Tag::Static);
 
-    for (Node* origin_node : node_ptrs_) {
-        const NodeId origin = origin_node->id();
-        // BFS recording, for each reached node, the first edge taken from
-        // `origin` on a shortest path. Neighbor order is chronological
-        // (edge/attach creation order) — the deterministic tie-break.
-        frontier.clear();
-        frontier.push_back(origin);
-        dist[origin] = 0;
-        for (std::size_t head = 0; head < frontier.size(); ++head) {
-            const NodeId current = frontier[head];
-            for (const Incidence& edge : store_.neighbors(current)) {
-                if (dist[edge.peer] != kInf) continue;
-                dist[edge.peer] = dist[current] + 1;
-                first_hop[edge.peer] =
-                    current == origin ? &edge : first_hop[current];
-                frontier.push_back(edge.peer);
-            }
-        }
-
-        batch.clear();
-        for (const TopologyStore::SubnetRef& ref : store_.subnets()) {
-            const auto attached = store_.subnet_attachments(ref, scratch);
-            // Skip subnets this node touches (connected route suffices).
-            bool connected = false;
-            for (const TopologyStore::Attachment& att : attached) {
-                if (att.node == origin) connected = true;
-            }
-            if (connected) continue;
-
-            // Nearest attached node (first wins ties, in attach order).
-            NodeId best = kNoNode;
-            std::uint32_t best_dist = kInf;
-            for (const TopologyStore::Attachment& att : attached) {
-                if (dist[att.node] < best_dist) {
-                    best = att.node;
-                    best_dist = dist[att.node];
+    // One worker's pass over the origins it claims. Each origin writes only
+    // its own node's table, and its batch depends only on the (read-only)
+    // store and rows, so the result is the same whatever the thread count
+    // and whichever worker takes which origin.
+    std::atomic<std::size_t> next_origin{0};
+    auto work = [&] {
+        const std::size_t n = store_.node_count();
+        std::vector<std::uint32_t> dist(n, kInf);
+        std::vector<const Incidence*> first_hop(n, nullptr);
+        std::vector<NodeId> frontier;
+        std::vector<ip::Route> batch;
+        batch.reserve(rows.size());
+        for (std::size_t i = next_origin.fetch_add(1, std::memory_order_relaxed);
+             i < node_ptrs_.size();
+             i = next_origin.fetch_add(1, std::memory_order_relaxed)) {
+            Node* origin_node = node_ptrs_[i];
+            const NodeId origin = origin_node->id();
+            // BFS recording, for each reached node, the first edge taken
+            // from `origin` on a shortest path. Neighbor order is
+            // chronological (edge/attach creation order) — the
+            // deterministic tie-break.
+            frontier.clear();
+            frontier.push_back(origin);
+            dist[origin] = 0;
+            for (std::size_t head = 0; head < frontier.size(); ++head) {
+                const NodeId current = frontier[head];
+                for (const Incidence& edge : store_.neighbors(current)) {
+                    if (dist[edge.peer] != kInf) continue;
+                    dist[edge.peer] = dist[current] + 1;
+                    first_hop[edge.peer] = current == origin ? &edge : first_hop[current];
+                    frontier.push_back(edge.peer);
                 }
             }
-            if (best == kNoNode) continue;  // unreachable
 
-            const Incidence* hop = first_hop[best];
-            ip::Route route;
-            route.prefix = store_.subnet_prefix(ref);
-            route.next_hop = hop->peer_addr;
-            route.ifindex = hop->ifindex;
-            route.metric = best_dist;
-            route.origin = "static";
-            batch.push_back(route);
-        }
-        origin_node->ip().routing_table().bulk_load(batch);
+            batch.clear();
+            for (const Row& row : rows) {
+                const std::span<const NodeId> nodes(attached.data() + row.first, row.count);
+                // Skip subnets this node touches (connected route suffices).
+                if (std::find(nodes.begin(), nodes.end(), origin) != nodes.end()) continue;
+                // Nearest attached node (first wins ties, in attach order).
+                NodeId best = kNoNode;
+                std::uint32_t best_dist = kInf;
+                for (const NodeId node : nodes) {
+                    if (dist[node] < best_dist) {
+                        best = node;
+                        best_dist = dist[node];
+                    }
+                }
+                if (best == kNoNode) continue;  // unreachable
 
-        // Undo only what the BFS touched: resetting the full arrays per
-        // origin would be O(nodes²) across a large build.
-        for (const NodeId id : frontier) {
-            dist[id] = kInf;
-            first_hop[id] = nullptr;
+                const Incidence* hop = first_hop[best];
+                ip::Route& route = batch.emplace_back();
+                route.prefix = row.prefix;
+                route.next_hop = hop->peer_addr;
+                route.ifindex = hop->ifindex;
+                route.metric = best_dist;
+                route.origin = origin_static;
+            }
+            origin_node->ip().routing_table().bulk_load(batch);
+
+            // Undo only what the BFS touched: resetting the full arrays per
+            // origin would be O(nodes²) across a large build.
+            for (const NodeId id : frontier) {
+                dist[id] = kInf;
+                first_hop[id] = nullptr;
+            }
         }
+    };
+
+    // Workers pay off only when the work dwarfs thread start-up: the
+    // generated internets, not the hand-wired scenarios of a few dozen
+    // nodes. The calling thread is worker 0.
+    constexpr std::size_t kWorkerMinWork = std::size_t{1} << 18;  // origin-rows
+    const std::size_t cpus = std::thread::hardware_concurrency();
+    const std::size_t workers =
+        node_ptrs_.size() * rows.size() < kWorkerMinWork
+            ? 1
+            : std::clamp<std::size_t>(cpus, 1, node_ptrs_.size());
+    std::vector<std::exception_ptr> errors(workers);
+    std::vector<std::thread> threads;
+    threads.reserve(workers - 1);
+    for (std::size_t w = 1; w < workers; ++w) {
+        try {
+            threads.emplace_back([&, w] {
+                try {
+                    work();
+                } catch (...) {
+                    errors[w] = std::current_exception();
+                }
+            });
+        } catch (...) {
+            break;  // no thread to spare: the running workers claim the rest
+        }
+    }
+    try {
+        work();
+    } catch (...) {
+        errors[0] = std::current_exception();
+    }
+    for (std::thread& t : threads) t.join();
+    for (const std::exception_ptr& error : errors) {
+        if (error) std::rethrow_exception(error);
     }
 }
 

@@ -21,8 +21,7 @@ inline bool key_less(int len_a, std::uint32_t addr_a, int len_b,
 }
 
 inline bool route_less(const Route* a, const Route* b) noexcept {
-    return key_less(a->prefix.length(), a->prefix.address().value(),
-                    b->prefix.length(), b->prefix.address().value());
+    return RoutingTable::precedes(a->prefix, b->prefix);
 }
 
 inline std::uint32_t mask_of(int len) noexcept {
@@ -103,16 +102,24 @@ void RoutingTable::install(const Route& route) {
 
 void RoutingTable::bulk_load(std::span<const Route> routes) {
     if (routes.empty()) return;
-    // Keep-last dedup within the batch (a later duplicate wins, matching a
-    // sequence of install() calls): sort (key, batch index) descending by
-    // index within a key, keep the first seen per key.
+    // A batch already strictly increasing in key order (the route
+    // computation builds them so) holds no duplicates and needs no sort.
+    bool sorted = true;
+    for (std::size_t i = 1; i < routes.size() && sorted; ++i) {
+        sorted = route_less(&routes[i - 1], &routes[i]);
+    }
+    // Otherwise, keep-last dedup within the batch (a later duplicate wins,
+    // matching a sequence of install() calls): sort (key, batch index)
+    // descending by index within a key, keep the first seen per key.
     std::vector<std::pair<const Route*, std::size_t>> batch;
-    batch.reserve(routes.size());
-    for (std::size_t i = 0; i < routes.size(); ++i) batch.emplace_back(&routes[i], i);
-    std::sort(batch.begin(), batch.end(), [](const auto& x, const auto& y) {
-        if (x.first->prefix != y.first->prefix) return route_less(x.first, y.first);
-        return x.second > y.second;
-    });
+    if (!sorted) {
+        batch.reserve(routes.size());
+        for (std::size_t i = 0; i < routes.size(); ++i) batch.emplace_back(&routes[i], i);
+        std::sort(batch.begin(), batch.end(), [](const auto& x, const auto& y) {
+            if (x.first->prefix != y.first->prefix) return route_less(x.first, y.first);
+            return x.second > y.second;
+        });
+    }
 
     // Search only the pre-batch (still sorted) range while appending: the
     // growing tail is not ordered relative to the head until the merge.
@@ -130,19 +137,26 @@ void RoutingTable::bulk_load(std::span<const Route> routes) {
         if (it != end && (*it)->prefix == prefix) return *it;
         return nullptr;
     };
-    const util::Ipv4Prefix* last = nullptr;
-    for (const auto& [route, index] : batch) {
-        if (last != nullptr && *last == route->prefix) continue;  // dup: later won
-        last = &route->prefix;
-        if (Route* existing = find_existing(route->prefix)) {
-            *existing = *route;  // replace in place, pointer stability
+    auto load = [&](const Route& route) {
+        if (Route* existing = find_existing(route.prefix)) {
+            *existing = route;  // replace in place, pointer stability
         } else {
-            ordered_.push_back(acquire_node(*route));
-            note_added(route->prefix.length());
+            ordered_.push_back(acquire_node(route));
+            note_added(route.prefix.length());
+        }
+    };
+    if (sorted) {
+        for (const Route& route : routes) load(route);
+    } else {
+        const util::Ipv4Prefix* last = nullptr;
+        for (const auto& [route, index] : batch) {
+            if (last != nullptr && *last == route->prefix) continue;  // dup: later won
+            last = &route->prefix;
+            load(*route);
         }
     }
     // One merge restores the global order: the survivors were appended in
-    // key order (batch was sorted), so the tail is already sorted.
+    // key order, so the tail is already sorted.
     std::inplace_merge(ordered_.begin(),
                        ordered_.begin() + static_cast<std::ptrdiff_t>(old_size),
                        ordered_.end(), route_less);

@@ -13,8 +13,9 @@
 // install, remove, and each per-length probe of the longest-prefix match —
 // is a binary search, and a 33-bit occupancy mask skips empty lengths, so
 // lookup costs O(distinct-lengths × log n) instead of a linear scan.
-// Population-scale builds go through bulk_load(): one sort per batch
-// rather than one ordered insertion per route.
+// Population-scale builds go through bulk_load(): at most one sort per
+// batch (none when the batch arrives in key order) rather than one ordered
+// insertion per route.
 //
 // Above a size threshold, lookup() switches to FibFlat — a lazily built
 // DIR-24-8-style stride structure (DESIGN.md §13) that answers any LPM in
@@ -179,11 +180,20 @@ public:
 
     /// Batch install: same replace-or-insert semantics as install() per
     /// entry (later duplicates in the batch win, matching sequential
-    /// installs), but new routes are appended and merged with ONE sort
-    /// pass. The topology generator's route-computation path — a hundred
-    /// thousand installs arrive as one batch per node. Bumps the
-    /// generation once for a non-empty batch.
+    /// installs), but new routes are appended and merged with ONE merge
+    /// pass. A batch strictly increasing in the table's key order (length
+    /// descending, then address ascending) skips the dedup sort; any other
+    /// batch pays one. The topology generator's route-computation path —
+    /// a hundred thousand installs arrive as one sorted batch per node.
+    /// Bumps the generation once for a non-empty batch.
     void bulk_load(std::span<const Route> routes);
+
+    /// The table's key order: longer prefixes first, then ascending
+    /// address. A bulk_load batch built in this order skips its sort.
+    static bool precedes(const util::Ipv4Prefix& a, const util::Ipv4Prefix& b) noexcept {
+        if (a.length() != b.length()) return a.length() > b.length();
+        return a.address().value() < b.address().value();
+    }
 
     /// Removes the route for exactly this prefix; returns whether found.
     bool remove(const util::Ipv4Prefix& prefix);

@@ -1,19 +1,34 @@
 #include "link/queue.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace catenet::link {
 
-DropTailQueue::DropTailQueue(std::size_t capacity_packets) : slots_(capacity_packets) {
+DropTailQueue::DropTailQueue(std::size_t capacity_packets)
+    : capacity_(capacity_packets), slots_(std::min(capacity_packets, kInitialSlots)) {
     if (capacity_packets == 0) throw std::invalid_argument("DropTailQueue: zero capacity");
 }
 
+void DropTailQueue::grow() {
+    std::vector<Packet> grown(std::min(slots_.size() * 2, capacity_));
+    // Re-linearize: the oldest packet moves to slot 0 whatever the head.
+    for (std::size_t i = 0; i < count_; ++i) {
+        std::size_t at = head_ + i;
+        if (at >= slots_.size()) at -= slots_.size();
+        grown[i] = std::move(slots_[at]);
+    }
+    slots_ = std::move(grown);
+    head_ = 0;
+}
+
 bool DropTailQueue::enqueue(Packet&& packet) {
-    if (count_ == slots_.size()) {
+    if (count_ == capacity_) {
         ++stats_.dropped;
         stats_.bytes_dropped += packet.size();
         return false;
     }
+    if (count_ == slots_.size()) grow();
     ++stats_.enqueued;
     stats_.bytes_enqueued += packet.size();
     bytes_ += packet.size();

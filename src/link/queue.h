@@ -68,11 +68,15 @@ protected:
 };
 
 /// FIFO with a packet-count cap; the classic 1988 gateway buffer.
-/// Implemented as a fixed ring over preallocated slots: the bounded
-/// capacity is the whole point of the discipline, so the hot
-/// enqueue/dequeue cycle never touches the allocator (a deque allocates
-/// and frees a block every few packets as the ring of use crosses block
-/// boundaries).
+/// Implemented as a ring that grows on demand: it starts at 8 slots (or
+/// the capacity, if smaller) and doubles, up to the capacity, only when an
+/// enqueue finds it full, so a link that never queues deeply never pays
+/// for its full buffer. The first 8 slots come with the queue, so a
+/// direction that queues its first packet late in a run (the ACK
+/// direction of a bulk transfer) does not allocate then. Once the ring has
+/// reached the depth a workload queues to, the hot enqueue/dequeue cycle
+/// never touches the allocator (a deque allocates and frees a block every
+/// few packets as the ring of use crosses block boundaries).
 class DropTailQueue final : public PacketQueue {
 public:
     explicit DropTailQueue(std::size_t capacity_packets);
@@ -83,10 +87,15 @@ public:
     std::size_t bytes() const noexcept override { return bytes_; }
     void clear() override;
     bool fifo_burst_drainable() const noexcept override { return true; }
-    std::size_t capacity_packets() const noexcept override { return slots_.size(); }
+    std::size_t capacity_packets() const noexcept override { return capacity_; }
 
 private:
-    std::vector<Packet> slots_;  ///< fixed size = capacity, ring-indexed
+    static constexpr std::size_t kInitialSlots = 8;
+
+    void grow();
+
+    std::size_t capacity_;
+    std::vector<Packet> slots_;  ///< ring-indexed, size <= capacity_
     std::size_t head_ = 0;
     std::size_t count_ = 0;
     std::size_t bytes_ = 0;

@@ -95,15 +95,6 @@ public:
         }
     }
 
-    /// True if any entry satisfies the predicate (key, value).
-    template <typename Pred>
-    bool any_of(Pred&& pred) const {
-        for (const Slot& s : slots_) {
-            if (s.used && pred(s.key, s.value)) return true;
-        }
-        return false;
-    }
-
 private:
     static constexpr std::size_t kInitialSlots = 16;  // power of two
 

@@ -1130,22 +1130,30 @@ void TcpStack::on_source_quench(const ip::IcmpMessage& msg) {
 std::uint16_t TcpStack::allocate_port() {
     for (int attempts = 0; attempts < 0xffff; ++attempts) {
         const std::uint16_t candidate = next_ephemeral_;
-        next_ephemeral_ = candidate == 0xffff ? 49152 : candidate + 1;
+        next_ephemeral_ = candidate == 0xffff ? kEphemeralFirst : candidate + 1;
         const bool in_use =
             listeners_.contains(candidate) ||
-            connections_.any_of([&](std::uint64_t key, const auto&) {
-                return conn_key_local_port(key) == candidate;
-            });
+            (ephemeral_use_ != nullptr && ephemeral_use_[candidate - kEphemeralFirst] != 0);
         if (!in_use) return candidate;
     }
     throw std::runtime_error("no free TCP ephemeral ports");
+}
+
+void TcpStack::insert_connection(std::uint64_t key, std::shared_ptr<TcpSocket> socket) {
+    connections_.insert(key, std::move(socket));
+    const std::uint16_t port = conn_key_local_port(key);
+    if (port < kEphemeralFirst) return;
+    if (ephemeral_use_ == nullptr) {
+        ephemeral_use_ = std::make_unique<std::uint32_t[]>(0x10000 - kEphemeralFirst);
+    }
+    ++ephemeral_use_[port - kEphemeralFirst];
 }
 
 std::shared_ptr<TcpSocket> TcpStack::connect(util::Ipv4Address dst, std::uint16_t dst_port,
                                              const TcpConfig& config) {
     const std::uint16_t src_port = allocate_port();
     auto socket = std::shared_ptr<TcpSocket>(new TcpSocket(*this, config));
-    connections_.insert(make_conn_key(dst.value(), dst_port, src_port), socket);
+    insert_connection(make_conn_key(dst.value(), dst_port, src_port), socket);
     ++stats_.connections_opened;
     counters_.inc(telemetry::Counter::TcpConnsOpened);
     socket->open_active(dst, dst_port, src_port);
@@ -1196,7 +1204,7 @@ void TcpStack::on_segment(const ip::Ipv4Header& header,
         if (auto lit = listeners_.find(h->dst_port); lit != listeners_.end()) {
             auto socket =
                 std::shared_ptr<TcpSocket>(new TcpSocket(*this, lit->second.config));
-            connections_.insert(key, socket);
+            insert_connection(key, socket);
             socket->open_passive(header.src, h->src_port, h->dst_port, *h);
             if (lit->second.on_accept) lit->second.on_accept(socket);
             return;
@@ -1361,6 +1369,8 @@ void TcpStack::remove_connection(std::uint64_t key) {
     if (entry == nullptr) return;
     auto doomed = std::move(*entry);
     connections_.erase(key);
+    const std::uint16_t port = conn_key_local_port(key);
+    if (port >= kEphemeralFirst) --ephemeral_use_[port - kEphemeralFirst];
     // Defer the final release one event: remove_connection is often called
     // from deep inside the doomed socket's own call stack (timer fire,
     // segment processing), and destroying it mid-flight would be UB.

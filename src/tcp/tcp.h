@@ -409,6 +409,7 @@ private:
     void on_source_quench(const ip::IcmpMessage& msg);
     void send_reset(const ip::Ipv4Header& header, const TcpHeader& offending,
                     std::size_t payload_len);
+    void insert_connection(std::uint64_t key, std::shared_ptr<TcpSocket> socket);
     void remove_connection(std::uint64_t key);
     std::uint16_t allocate_port();
 
@@ -418,7 +419,14 @@ private:
     std::map<std::uint16_t, Listener> listeners_;
     TcpStackStats stats_;
     telemetry::CounterBlock counters_;
-    std::uint16_t next_ephemeral_ = 49152;
+    static constexpr std::uint16_t kEphemeralFirst = 49152;
+    std::uint16_t next_ephemeral_ = kEphemeralFirst;
+    /// Live connections per local port over [kEphemeralFirst, 65535], kept
+    /// at every connections_ insert and erase, so allocate_port() tests a
+    /// candidate in O(1) instead of scanning the table. Allocated with the
+    /// stack's first connection on such a port: a host that never opens
+    /// one (a server on a well-known port) pays nothing.
+    std::unique_ptr<std::uint32_t[]> ephemeral_use_;
 
     /// Pin on the connection whose GRO run is open: keeps the socket alive
     /// across in-run callbacks and memoizes the demux probe. Reset at

@@ -164,5 +164,29 @@ TEST_F(AppFixture, RpcConnectionPerRequestPaysHandshake) {
         << "per-request connections must pay roughly one extra RTT";
 }
 
+TEST_F(AppFixture, RpcServerReleasesClosedConnections) {
+    // Connection-per-request: each transaction opens and closes its own
+    // connection, and the server must let go of each one as it closes
+    // rather than keep every accepted socket for its whole life.
+    wire();
+    RpcServer server(b, 111);
+    RpcClientConfig config;
+    config.mean_interarrival = sim::milliseconds(20);
+    config.connection_per_request = true;
+    RpcClient client(a, b.address(), 111, config);
+    client.start();
+    for (int i = 0; i < 10; ++i) {
+        net.run_for(sim::seconds(1));
+        EXPECT_LT(server.open_connections(), 8u) << "only in-flight transactions stay";
+    }
+    client.stop();
+    net.run_for(sim::seconds(2));  // the last exchanges finish closing
+
+    ASSERT_GT(server.requests_served(), 200u);
+    EXPECT_EQ(client.responses_received(), client.requests_sent());
+    EXPECT_EQ(server.open_connections(), 0u);
+    EXPECT_EQ(b.tcp().connection_count(), 0u);
+}
+
 }  // namespace
 }  // namespace catenet::app

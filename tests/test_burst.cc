@@ -10,6 +10,7 @@
 // between two arrivals of one run (the memo-invalidation window).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
@@ -30,18 +31,19 @@
 // Global allocation counter (same per-binary harness as test_sim.cc /
 // test_forward_fastpath.cc): counts every operator-new in this binary so
 // the steady-state test can assert the burst path never touches the heap.
+// Atomic because static-route set-up may allocate on worker threads.
 namespace {
-std::uint64_t g_heap_allocs = 0;
+std::atomic<std::uint64_t> g_heap_allocs{0};
 }  // namespace
 
 void* operator new(std::size_t size) {
-    ++g_heap_allocs;
+    g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
     if (void* p = std::malloc(size)) return p;
     throw std::bad_alloc();
 }
 
 void* operator new[](std::size_t size) {
-    ++g_heap_allocs;
+    g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
     if (void* p = std::malloc(size)) return p;
     throw std::bad_alloc();
 }
@@ -52,12 +54,12 @@ void* operator new[](std::size_t size) {
 // only the throwing forms route to malloc, the pairing splits across
 // allocators (ASan flags the mismatch).
 void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-    ++g_heap_allocs;
+    g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
     return std::malloc(size);
 }
 
 void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
-    ++g_heap_allocs;
+    g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
     return std::malloc(size);
 }
 

@@ -4,6 +4,7 @@
 // soft-state destination cache's invalidation-by-generation discipline.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdlib>
 #include <cstring>
 #include <new>
@@ -22,18 +23,19 @@
 // Global allocation counter (same per-binary harness as test_sim.cc):
 // counts every operator-new in this binary; tests measure deltas around
 // loops that must never touch the allocator.
+// Atomic because static-route set-up may allocate on worker threads.
 namespace {
-std::uint64_t g_heap_allocs = 0;
+std::atomic<std::uint64_t> g_heap_allocs{0};
 }  // namespace
 
 void* operator new(std::size_t size) {
-    ++g_heap_allocs;
+    g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
     if (void* p = std::malloc(size)) return p;
     throw std::bad_alloc();
 }
 
 void* operator new[](std::size_t size) {
-    ++g_heap_allocs;
+    g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
     if (void* p = std::malloc(size)) return p;
     throw std::bad_alloc();
 }
@@ -44,12 +46,12 @@ void* operator new[](std::size_t size) {
 // only the throwing forms route to malloc, the pairing splits across
 // allocators (ASan flags the mismatch).
 void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-    ++g_heap_allocs;
+    g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
     return std::malloc(size);
 }
 
 void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
-    ++g_heap_allocs;
+    g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
     return std::malloc(size);
 }
 

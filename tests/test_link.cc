@@ -53,6 +53,56 @@ TEST(DropTailQueue, ZeroCapacityRejected) {
     EXPECT_THROW(DropTailQueue q(0), std::invalid_argument);
 }
 
+// The ring grows on demand (8 slots first, doubling up to the capacity);
+// none of that may show through the discipline's contract.
+
+TEST(DropTailQueue, ReportsConfiguredCapacityBeforeFirstEnqueue) {
+    DropTailQueue q(256);
+    EXPECT_EQ(q.capacity_packets(), 256u) << "the burst-admission check reads this";
+    EXPECT_TRUE(q.empty());
+}
+
+TEST(DropTailQueue, FifoAcrossGrowthWithWrappedHead) {
+    // Fill the first 8-slot ring, then advance the head so the live run
+    // wraps the ring's end; the next enqueues force growth with the head
+    // mid-ring, and the oldest packet must still leave first.
+    DropTailQueue q(64);
+    std::uint8_t next_in = 0;
+    std::uint8_t next_out = 0;
+    for (int i = 0; i < 8; ++i) ASSERT_TRUE(q.enqueue(make_test_packet(10, next_in++)));
+    for (int i = 0; i < 5; ++i) ASSERT_EQ(q.dequeue()->bytes[0], next_out++);
+    for (int i = 0; i < 5; ++i) ASSERT_TRUE(q.enqueue(make_test_packet(10, next_in++)));
+    for (int i = 0; i < 40; ++i) ASSERT_TRUE(q.enqueue(make_test_packet(10, next_in++)));
+    EXPECT_EQ(q.packets(), 48u);
+    while (auto p = q.dequeue()) EXPECT_EQ(p->bytes[0], next_out++);
+    EXPECT_EQ(next_out, next_in);
+}
+
+TEST(DropTailQueue, DropsExactlyAtCapacityAfterGrowing) {
+    DropTailQueue q(100);  // not a power of two: the last growth is clipped
+    for (int i = 0; i < 100; ++i) ASSERT_TRUE(q.enqueue(make_test_packet(10)));
+    EXPECT_FALSE(q.enqueue(make_test_packet(10)));
+    EXPECT_EQ(q.stats().dropped, 1u);
+    EXPECT_EQ(q.packets(), 100u);
+    q.dequeue();
+    EXPECT_TRUE(q.enqueue(make_test_packet(10)));
+    EXPECT_FALSE(q.enqueue(make_test_packet(10)));
+    EXPECT_EQ(q.stats().dropped, 2u);
+}
+
+TEST(DropTailQueue, ClearThenRefill) {
+    DropTailQueue q(32);
+    for (std::uint8_t i = 0; i < 20; ++i) ASSERT_TRUE(q.enqueue(make_test_packet(10, i)));
+    q.dequeue();
+    q.clear();
+    EXPECT_TRUE(q.empty());
+    EXPECT_EQ(q.bytes(), 0u);
+    for (std::uint8_t i = 0; i < 32; ++i) ASSERT_TRUE(q.enqueue(make_test_packet(10, i)));
+    EXPECT_FALSE(q.enqueue(make_test_packet(10)));
+    for (std::uint8_t i = 0; i < 32; ++i) EXPECT_EQ(q.dequeue()->bytes[0], i);
+    EXPECT_TRUE(q.empty());
+}
+
 // --- PriorityQueue ------------------------------------------------------
 
 TEST(PriorityQueue, HighPriorityFirst) {

@@ -22,6 +22,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
@@ -44,18 +45,19 @@
 // Global allocation counter (same per-binary harness as test_burst.cc):
 // counts every operator-new in this binary so the steady-state tests can
 // assert the offload paths never touch the heap.
+// Atomic because static-route set-up may allocate on worker threads.
 namespace {
-std::uint64_t g_heap_allocs = 0;
+std::atomic<std::uint64_t> g_heap_allocs{0};
 }  // namespace
 
 void* operator new(std::size_t size) {
-    ++g_heap_allocs;
+    g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
     if (void* p = std::malloc(size)) return p;
     throw std::bad_alloc();
 }
 
 void* operator new[](std::size_t size) {
-    ++g_heap_allocs;
+    g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
     if (void* p = std::malloc(size)) return p;
     throw std::bad_alloc();
 }
@@ -66,12 +68,12 @@ void* operator new[](std::size_t size) {
 // only the throwing forms route to malloc, the pairing splits across
 // allocators (ASan flags the mismatch).
 void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-    ++g_heap_allocs;
+    g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
     return std::malloc(size);
 }
 
 void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
-    ++g_heap_allocs;
+    g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
     return std::malloc(size);
 }
 

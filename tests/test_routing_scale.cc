@@ -3,10 +3,17 @@
 // overhead growth.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <limits>
+#include <map>
+
 #include "core/internetwork.h"
+#include "core/topology_gen.h"
 #include "ip/protocols.h"
 #include "ip/routing_table.h"
 #include "link/presets.h"
+#include "util/random.h"
 
 namespace catenet::routing {
 namespace {
@@ -255,6 +262,177 @@ TEST(FibBulkLoad, UpdatesExistingRoutesInPlace) {
     EXPECT_EQ(before->next_hop, replacement.next_hop) << "updated in place";
     EXPECT_EQ(table.size(), 2u);
     EXPECT_EQ(table.generation(), generation + 1) << "one bump per batch";
+}
+
+namespace {
+
+/// A mixed-length batch (/16, /24, /28 routes) in the table's key order:
+/// length descending, then address ascending.
+std::vector<ip::Route> sorted_batch() {
+    std::vector<ip::Route> batch;
+    for (const int len : {28, 24, 16}) {
+        for (std::uint32_t i = 0; i < 200; ++i) {
+            ip::Route r;
+            const util::Ipv4Address base =
+                len == 28   ? util::Ipv4Address(12, 0, i >> 4, (i & 0xf) << 4)
+                : len == 24 ? util::Ipv4Address(10, 0, i, 0)
+                            : util::Ipv4Address(11, i, 0, 0);
+            r.prefix = util::Ipv4Prefix(base, len);
+            r.next_hop = util::Ipv4Address(192, 168, static_cast<std::uint8_t>(len), 1 + i);
+            r.ifindex = i % 3;
+            r.metric = i;
+            batch.push_back(r);
+        }
+    }
+    return batch;
+}
+
+void expect_same_routes(const std::vector<ip::Route>& a, const std::vector<ip::Route>& b) {
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        EXPECT_EQ(a[i].prefix, b[i].prefix) << i;
+        EXPECT_EQ(a[i].next_hop, b[i].next_hop) << i;
+        EXPECT_EQ(a[i].ifindex, b[i].ifindex) << i;
+        EXPECT_EQ(a[i].metric, b[i].metric) << i;
+    }
+}
+
+}  // namespace
+
+TEST(FibBulkLoad, SortedAndShuffledBatchesLoadAlike) {
+    // The sorted batch skips the dedup sort; a shuffled copy pays it. Both
+    // must leave the same ordered table, bump the generation exactly once,
+    // and update previously installed routes in place.
+    const std::vector<ip::Route> sorted = sorted_batch();
+    std::vector<ip::Route> shuffled = sorted;
+    util::Rng rng(5);
+    for (std::size_t i = shuffled.size() - 1; i > 0; --i) {
+        std::swap(shuffled[i], shuffled[rng.uniform(0, i)]);
+    }
+
+    auto load = [&](const std::vector<ip::Route>& batch) {
+        ip::RoutingTable table;
+        ip::Route stale = sorted[17];
+        stale.next_hop = util::Ipv4Address(1, 1, 1, 1);
+        table.install(stale);
+        const ip::Route* handed_out = table.find(stale.prefix).get();
+        const auto generation = table.generation();
+        table.bulk_load(batch);
+        EXPECT_EQ(table.generation(), generation + 1) << "one bump per batch";
+        EXPECT_EQ(table.find(stale.prefix).get(), handed_out) << "same interned node";
+        EXPECT_EQ(handed_out->next_hop, sorted[17].next_hop) << "sees the replacement";
+        return table.routes();
+    };
+    const auto from_sorted = load(sorted);
+    const auto from_shuffled = load(shuffled);
+    expect_same_routes(from_sorted, from_shuffled);
+    expect_same_routes(from_sorted, sorted);
+}
+
+TEST(FibBulkLoad, AdjacentDuplicatesInSortedBatchKeepTheLast) {
+    // Key order, but with repeated keys: not strictly increasing, so the
+    // batch takes the dedup path and the later entry of each run wins.
+    std::vector<ip::Route> batch = sorted_batch();
+    for (const std::size_t at : {std::size_t{0}, std::size_t{450}, batch.size() - 1}) {
+        ip::Route again = batch[at];
+        again.next_hop = util::Ipv4Address(7, 7, 7, static_cast<std::uint8_t>(at % 250));
+        batch.insert(batch.begin() + static_cast<std::ptrdiff_t>(at) + 1, again);
+    }
+    ip::RoutingTable table;
+    table.bulk_load(batch);
+    EXPECT_EQ(table.size(), batch.size() - 3);
+    ip::RoutingTable sequential;
+    for (const ip::Route& r : batch) sequential.install(r);
+    expect_same_routes(table.routes(), sequential.routes());
+}
+
+// --- Static routes computed on worker threads ------------------------------
+//
+// use_static_routes() spreads its origins over every CPU once the work is
+// large. Whatever the thread count, each table must hold exactly what a
+// plain single-threaded BFS computes.
+
+TEST(StaticRoutes, WorkerBuiltTablesMatchSequentialBfs) {
+    core::Internetwork net(3);
+    core::TwoTierParams params;
+    params.gateways = 512;  // 512 origins x ~1k subnet rows: the worker path
+    params.lans = 256;
+    params.hosts_per_lan = 4;
+    params.seed = 11;
+    const core::TwoTierTopology topo = core::generate_two_tier(net, params);
+    const core::TopologyStore& store = net.topology();
+
+    constexpr std::uint32_t kInf = std::numeric_limits<std::uint32_t>::max();
+    const std::size_t n = store.node_count();
+    std::vector<std::uint32_t> dist(n);
+    std::vector<const core::Incidence*> first_hop(n);
+    core::TopologyStore::Attachment scratch[2];
+    std::size_t sampled = 0;
+    for (core::Gateway* gw : topo.gateways) {
+        const core::NodeId origin = gw->id();
+        std::fill(dist.begin(), dist.end(), kInf);
+        std::fill(first_hop.begin(), first_hop.end(), nullptr);
+        std::deque<core::NodeId> queue{origin};
+        dist[origin] = 0;
+        while (!queue.empty()) {
+            const core::NodeId current = queue.front();
+            queue.pop_front();
+            for (const core::Incidence& edge : store.neighbors(current)) {
+                if (dist[edge.peer] != kInf) continue;
+                dist[edge.peer] = dist[current] + 1;
+                first_hop[edge.peer] = current == origin ? &edge : first_hop[current];
+                queue.push_back(edge.peer);
+            }
+        }
+        // Keyed in table order: longest prefix first, then by address.
+        std::map<std::pair<int, std::uint32_t>, ip::Route> expected;
+        for (const core::TopologyStore::SubnetRef& ref : store.subnets()) {
+            const auto attached = store.subnet_attachments(ref, scratch);
+            if (std::any_of(attached.begin(), attached.end(),
+                            [&](const auto& att) { return att.node == origin; })) {
+                continue;
+            }
+            core::NodeId best = core::kNoNode;
+            for (const auto& att : attached) {
+                if (dist[att.node] != kInf &&
+                    (best == core::kNoNode || dist[att.node] < dist[best])) {
+                    best = att.node;
+                }
+            }
+            if (best == core::kNoNode) continue;
+            ip::Route route;
+            route.prefix = store.subnet_prefix(ref);
+            route.next_hop = first_hop[best]->peer_addr;
+            route.ifindex = first_hop[best]->ifindex;
+            route.metric = dist[best];
+            expected[{-route.prefix.length(), route.prefix.address().value()}] = route;
+        }
+
+        const ip::RoutingTable& table = gw->ip().routing_table();
+        std::vector<ip::Route> got;
+        for (const ip::Route& r : table.routes()) {
+            if (r.origin == "static") got.push_back(r);
+        }
+        ASSERT_EQ(got.size(), expected.size()) << "gateway " << origin;
+        std::size_t i = 0;
+        for (const auto& [key, want] : expected) {
+            const ip::Route& have = got[i++];
+            ASSERT_EQ(have.prefix, want.prefix) << "gateway " << origin;
+            ASSERT_EQ(have.next_hop, want.next_hop) << "gateway " << origin;
+            ASSERT_EQ(have.ifindex, want.ifindex) << "gateway " << origin;
+            ASSERT_EQ(have.metric, want.metric) << "gateway " << origin;
+            if (i % 13 == 0) {
+                const util::Ipv4Address dst(want.prefix.address().value() + 5);
+                const auto hit = table.lookup(dst);
+                ASSERT_TRUE(hit.has_value()) << dst;
+                EXPECT_EQ(hit->prefix, want.prefix) << dst;
+                EXPECT_EQ(hit->next_hop, want.next_hop) << dst;
+                EXPECT_EQ(hit->ifindex, want.ifindex) << dst;
+                ++sampled;
+            }
+        }
+    }
+    EXPECT_GT(sampled, 10'000u);
 }
 
 TEST(FibBinarySearch, LongestPrefixWinsAcrossLengths) {
