@@ -309,6 +309,18 @@ int main(int argc, char** argv) {
         hops += gw->ip().stats().forwarded;
     }
     hops -= hops_before;
+    // Why chains stopped: fires that delivered runs vs fires cut after one
+    // packet, summed over every point-to-point direction (set-up sends
+    // nothing, so these are the soak's).
+    std::uint64_t chain_runs = 0;
+    std::uint64_t chain_bails = 0;
+    for (const telemetry::LinkEntry& l : net.metrics().links()) {
+        for (const link::NetIfStats* st : {l.if_a, l.if_b}) {
+            if (st == nullptr) continue;
+            chain_runs += st->chain_runs;
+            chain_bails += st->chain_bails;
+        }
+    }
     const double pkts_per_second =
         soak_seconds > 0 ? static_cast<double>(delivered) / soak_seconds : 0.0;
     const double hops_per_second =
@@ -337,6 +349,9 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(hops));
     std::printf("    phases: inject %.3f s, drain %.3f s, total %.3f s\n",
                 inject_seconds, drain_seconds, soak_seconds);
+    std::printf("    chains: %llu fires delivered runs of 2+, %llu cut after one\n",
+                static_cast<unsigned long long>(chain_runs),
+                static_cast<unsigned long long>(chain_bails));
     if (opt.min_pps > 0.0) {
         std::printf("    floor %.0f pkts/s: %s\n", opt.min_pps,
                     pps_ok ? "ok" : "FAIL");

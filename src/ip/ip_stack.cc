@@ -393,73 +393,171 @@ bool IpStack::transmit(const Ipv4Header& header, std::span<const std::uint8_t> p
 }
 
 void IpStack::receive(std::size_t ifindex, link::Packet packet) {
-    if (down_) {
-        recycle_wire(packet);
+    RxState rx;
+    receive_one(ifindex, packet, rx);
+    finish_rx(rx);
+    recycle_wire(packet);  // no-op when forwarding moved the buffer on
+}
+
+std::size_t IpStack::receive_burst(std::size_t ifindex, link::PacketBurst& burst) {
+    // One commit loop, one packet at a time at its own arrival instant.
+    // Decode is lazy: it runs only for packets the clock actually reaches
+    // (the link offers only arrivals no pending event precedes, but a
+    // packet's own processing may schedule one that cuts the run). The
+    // next packet's wire bytes are prefetched while the current one
+    // commits (distance 1: by the time a 20-byte header is parsed, the
+    // next line is in L1).
+    //
+    // Route lookups go through a burst-local memo (RouteMemo) so a run to
+    // one next-hop costs one real probe. The memo's generation check runs
+    // per packet, so a routing change that lands on a bail between two
+    // arrivals invalidates it exactly as it would invalidate the cache.
+    const std::size_t n = burst.count;
+    RxState rx;
+    rx.runs = true;
+    std::size_t i = 0;
+    for (; i < n; ++i) {
+        if (i > 0 && !sim_.advance_if_idle(burst.items[i].arrival)) break;
+        if (i + 1 < n) {
+            const auto& next_bytes = burst.items[i + 1].packet->bytes;
+            if (!next_bytes.empty()) __builtin_prefetch(next_bytes.data());
+        }
+        link::Packet packet = std::move(*burst.items[i].packet);
+        receive_one(ifindex, packet, rx);
+        recycle_wire(packet);  // no-op when forwarding moved the buffer on
+    }
+    finish_rx(rx);
+    return i;
+}
+
+void IpStack::finish_rx(RxState& rx) {
+    close_run(rx);
+    counters_.add(telemetry::Counter::IpRx, rx.locals.rx);
+    counters_.add(telemetry::Counter::IpFwd, rx.locals.fwd);
+    counters_.add(telemetry::Counter::IpRouteCacheHit, rx.locals.cache_hits);
+    counters_.add(telemetry::Counter::IpRouteCacheMiss, rx.locals.cache_misses);
+}
+
+void IpStack::offer_run_segment(const Ipv4Header& h, std::span<const std::uint8_t> payload,
+                                std::size_t ifindex, RxState& rx) {
+    if (rx.runs && run_handler_->on_run_segment(h, payload, ifindex)) {
+        rx.in_run = true;
         return;
     }
-    counters_.inc(telemetry::Counter::IpRx);
+    // No run (a lone arrival) or declined (odd flags, out of order, …):
+    // close any run at this boundary and hand the segment to the ordinary
+    // per-datagram entry, checksum vouch in effect.
+    close_run(rx);
+    rx_csum_ok_ = true;
+    run_handler_->on_datagram(h, payload, ifindex);
+    rx_csum_ok_ = false;
+}
 
-    // Quick lane — the burst path's four-load screen (see receive_burst)
-    // applied to the per-packet entry, which is the shape of every
-    // final-hop LAN delivery: observers absent, checksum vouched, plain
-    // 20-byte header, not a fragment, wire-exact length, run protocol,
-    // addressed here. No run is opened (runs are a property of one burst
-    // delivery); the segment goes straight to the per-datagram entry the
-    // full dispatch would have picked.
-    if (run_handler_ != nullptr && !trace_ && recorder_ == nullptr &&
-        packet.csum_ok && packet.bytes.size() >= kIpv4HeaderSize &&
-        packet.bytes[0] == 0x45 && packet.bytes[9] == run_protocol_ &&
+void IpStack::receive_one(std::size_t ifindex, link::Packet& packet, RxState& rx) {
+    if (down_) return;
+    ++rx.locals.rx;
+
+    // Quick lanes: with no tracer or recorder attached, the only header
+    // fields a checksum-vouched datagram feeds downstream are src, dst,
+    // protocol, TTL, DF and total length — every other field exists to
+    // feed note(), which both observers being absent makes a no-op. Such
+    // packets are classified with four loads (fixed 20-byte header, not a
+    // fragment, total length == wire length) and only that minimal unpack
+    // runs (DESIGN.md §12). The flag is re-read per packet, so an observer
+    // attached by an event that ran on a bail is honoured from the very
+    // next committed packet.
+    DecodedDatagram d;
+    DecodeStatus st;
+    if (!trace_ && recorder_ == nullptr && packet.csum_ok &&
+        packet.bytes.size() >= kIpv4HeaderSize && packet.bytes[0] == 0x45 &&
         (load_u16(packet.bytes.data() + 6) & 0x3fffu) == 0 &&
         load_u16(packet.bytes.data() + 2) == packet.bytes.size()) {
         const std::uint8_t* p = packet.bytes.data();
         const util::Ipv4Address dst(load_u32(p + 16));
-        if (is_local_address(dst)) {
+        const bool local = is_local_address(dst);
+        if (local && run_handler_ != nullptr && p[9] == run_protocol_) {
+            // Local run-protocol lane: exactly the four fields the run
+            // handler and its decline path read. Counter effects match the
+            // full lane below; its Rx/Deliver notes are no-ops here.
             Ipv4Header h{};
             h.src = util::Ipv4Address(load_u32(p + 12));
             h.dst = dst;
             h.protocol = run_protocol_;
             h.total_length = static_cast<std::uint16_t>(packet.bytes.size());
-            const auto payload =
-                std::span<const std::uint8_t>(packet.bytes).subspan(kIpv4HeaderSize);
             counters_.inc(telemetry::Counter::IpDeliver);
-            rx_csum_ok_ = true;
-            run_handler_->on_datagram(h, payload, ifindex);
-            rx_csum_ok_ = false;
-            recycle_wire(packet);
+            offer_run_segment(
+                h, std::span<const std::uint8_t>(packet.bytes).subspan(kIpv4HeaderSize),
+                ifindex, rx);
             return;
         }
-    }
-
-    DecodedDatagram d;
-    bool checksum_ok = false;
-    try {
+        // Transit lane: a screened datagram for another host at a
+        // forwarding node goes straight to forward() with only the fields
+        // its fast path reads unpacked. The min_mtu_ fence guarantees the
+        // wire fits every egress, so the fragmenting slow path — the one
+        // consumer of the fields left blank — is unreachable; a forward
+        // tap wants the full header, so its presence (like the tracer's
+        // and recorder's) disqualifies. TTL-expired / no-route ICMP errors
+        // rebuild from the wire bytes and never read the decoded header.
+        if (!local && dst != kBroadcastAddress && forwarding_ &&
+            forward_tap_ == nullptr && packet.bytes.size() <= min_mtu_) {
+            close_run(rx);
+            Ipv4Header& h = d.header;
+            h.src = util::Ipv4Address(load_u32(p + 12));
+            h.dst = dst;
+            h.ttl = p[8];
+            h.protocol = p[9];
+            h.total_length = static_cast<std::uint16_t>(packet.bytes.size());
+            h.dont_fragment = (load_u16(p + 6) & 0x4000u) != 0;
+            d.header_length = kIpv4HeaderSize;
+            forward(d, packet, rx);
+            return;
+        }
+        // Anything else the screen caught (broadcast, forwarding off,
+        // oversize, tapped): full decode and the ordinary dispatch below —
+        // the screen guarantees Ok, the vouch skips the checksum verify.
+        st = decode_datagram_status(packet.bytes, d, false);
+    } else {
         // csum_ok packets skip the header fold (it would provably pass:
         // the encoder computed it and no hop corrupted the bytes).
-        checksum_ok = decode_datagram(packet.bytes, d, !packet.csum_ok);
-    } catch (const util::DecodeError&) {
-        // Same drop event as every other discard; the header carries
-        // whatever fields decoded before the failure (best effort, exactly
-        // what a wire sniffer would report for a mangled datagram).
+        st = decode_datagram_status(packet.bytes, d, !packet.csum_ok);
+    }
+    if (st == DecodeStatus::Malformed) {
+        // The header carries whatever fields decoded before the failure
+        // (best effort, what a wire sniffer would report).
+        close_run(rx);
         counters_.inc(telemetry::Counter::IpDropMalformed);
         note(telemetry::PacketEvent::Drop, d.header, packet.size(),
              telemetry::DropReason::Malformed);
-        recycle_wire(packet);
         return;
     }
-    if (!checksum_ok) {
+    if (st == DecodeStatus::BadChecksum) {
+        close_run(rx);
         counters_.inc(telemetry::Counter::IpDropChecksum);
         note(telemetry::PacketEvent::Drop, d.header, packet.size(),
              telemetry::DropReason::Checksum);
-        recycle_wire(packet);
         return;
     }
-    process_datagram(d, packet, ifindex, nullptr, nullptr);
-    recycle_wire(packet);  // no-op when the fast path moved the buffer on
+    // GRO lane (DESIGN.md §12): a checksum-vouched, non-fragment datagram
+    // of the run protocol addressed to this host goes straight to the run
+    // handler — same Rx/Deliver notes and counts as process_datagram →
+    // deliver_local would have produced, then one handler call instead of
+    // the map probe + full dispatch.
+    if (run_handler_ != nullptr && packet.csum_ok && d.header.protocol == run_protocol_ &&
+        !d.header.is_fragment() && is_local_address(d.header.dst)) {
+        const Ipv4Header& h = d.header;
+        const auto payload = payload_of(packet.bytes, d);
+        note(telemetry::PacketEvent::Rx, h, packet.size());
+        counters_.inc(telemetry::Counter::IpDeliver);
+        note(telemetry::PacketEvent::Deliver, h, kIpv4HeaderSize + payload.size());
+        offer_run_segment(h, payload, ifindex, rx);
+        return;
+    }
+    close_run(rx);
+    process_datagram(d, packet, ifindex, rx);
 }
 
 void IpStack::process_datagram(const DecodedDatagram& d, link::Packet& packet,
-                               std::size_t ifindex, RouteMemo* memo,
-                               ForwardLocals* locals) {
+                               std::size_t ifindex, RxState& rx) {
     note(telemetry::PacketEvent::Rx, d.header, packet.size());
 
     const auto payload = payload_of(packet.bytes, d);
@@ -483,181 +581,7 @@ void IpStack::process_datagram(const DecodedDatagram& d, link::Packet& packet,
         counters_.inc(telemetry::Counter::IpDropNotForUs);
         return;
     }
-    forward(d, packet, ifindex, memo, locals);
-}
-
-std::size_t IpStack::receive_burst(std::size_t ifindex, link::PacketBurst& burst) {
-    const std::size_t n = burst.count;
-
-    // One fused commit loop, one packet at a time at its own arrival
-    // instant. Decode is lazy: it runs only for packets the clock
-    // actually reaches. An eager decode pass would look free, but under
-    // contention advance_if_idle bails after a packet or two and the
-    // burst tail gets redelivered — every eager decode of the tail is
-    // then repeated on the next delivery, and at scale that multiplies
-    // the decode bill severalfold (plus a value-initialized descriptor
-    // array per call). The next packet's wire bytes are prefetched while
-    // the current one commits (distance 1: by the time a 20-byte header
-    // is parsed, the next line is in L1).
-    //
-    // Route lookups go through a burst-local memo (RouteMemo) so a run to
-    // one next-hop costs one real probe; TTL rewrite and egress hand-off
-    // happen in forward()'s in-place fast path. The memo's generation
-    // check runs per packet, so a routing change that lands on a bail
-    // between two arrivals invalidates it exactly as it would invalidate
-    // the per-packet cache. Hot counters batch in `locals` and flush
-    // before returning — i.e. before whichever event caused a bail runs.
-    //
-    // Quick lane: with no tracer or recorder attached, the only header
-    // fields a checksum-vouched run-protocol datagram feeds downstream
-    // are src, dst, protocol and total length — every other field exists
-    // to feed note(), which both observers being absent makes a no-op.
-    // Such packets are classified with four loads (fixed 20-byte header,
-    // run protocol, not a fragment, total length == wire length) and only
-    // that minimal unpack runs (DESIGN.md §12). The flag is re-read per
-    // packet, so an observer attached by an event that ran on a bail is
-    // honoured from the very next committed packet.
-    RouteMemo memo;
-    ForwardLocals locals;
-    DecodedDatagram d;
-    bool in_run = false;  // a GRO run is open in the run handler
-    std::size_t i = 0;
-    for (; i < n; ++i) {
-        if (i > 0 && !sim_.advance_if_idle(burst.items[i].arrival)) break;
-        if (i + 1 < n) {
-            const auto& next_bytes = burst.items[i + 1].packet->bytes;
-            if (!next_bytes.empty()) __builtin_prefetch(next_bytes.data());
-        }
-        link::Packet packet = std::move(*burst.items[i].packet);
-        if (down_) {
-            recycle_wire(packet);
-            continue;
-        }
-        ++locals.rx;
-        const bool quick_lane_ok = !trace_ && recorder_ == nullptr;
-        DecodeStatus st;
-        if (quick_lane_ok && packet.csum_ok &&
-            packet.bytes.size() >= kIpv4HeaderSize &&
-            packet.bytes[0] == 0x45 &&
-            (load_u16(packet.bytes.data() + 6) & 0x3fffu) == 0 &&
-            load_u16(packet.bytes.data() + 2) == packet.bytes.size()) {
-            const std::uint8_t* p = packet.bytes.data();
-            const util::Ipv4Address dst(load_u32(p + 16));
-            const bool local = is_local_address(dst);
-            if (local && run_handler_ != nullptr && p[9] == run_protocol_) {
-                // Unpack exactly the four fields the run handler and its
-                // decline path read, skip the rest of the decode. Counter
-                // effects match the full lane below; the Rx/Deliver notes
-                // it would emit are no-ops by construction (the screen
-                // required both observers absent).
-                Ipv4Header h{};
-                h.src = util::Ipv4Address(load_u32(p + 12));
-                h.dst = dst;
-                h.protocol = run_protocol_;
-                h.total_length = static_cast<std::uint16_t>(packet.bytes.size());
-                const auto payload =
-                    std::span<const std::uint8_t>(packet.bytes).subspan(kIpv4HeaderSize);
-                counters_.inc(telemetry::Counter::IpDeliver);
-                if (run_handler_->on_run_segment(h, payload, ifindex)) {
-                    in_run = true;
-                } else {
-                    if (in_run) { run_handler_->end_run(); in_run = false; }
-                    rx_csum_ok_ = true;
-                    run_handler_->on_datagram(h, payload, ifindex);
-                    rx_csum_ok_ = false;
-                }
-                recycle_wire(packet);
-                continue;
-            }
-            // Transit quick lane: a screened datagram for another host at
-            // a forwarding node goes straight to forward() with only the
-            // fields its fast path reads unpacked. The min_mtu_ fence
-            // guarantees the wire fits every egress, so the fragmenting
-            // slow path — the one consumer of the fields left blank — is
-            // unreachable; a forward tap wants the full header, so its
-            // presence (like the tracer's and recorder's) disqualifies.
-            // TTL-expired / no-route ICMP errors rebuild from the wire
-            // bytes and never read the decoded header.
-            if (!local && dst != kBroadcastAddress && forwarding_ &&
-                forward_tap_ == nullptr && packet.bytes.size() <= min_mtu_) {
-                if (in_run) { run_handler_->end_run(); in_run = false; }
-                d = DecodedDatagram{};
-                Ipv4Header& h = d.header;
-                h.src = util::Ipv4Address(load_u32(p + 12));
-                h.dst = dst;
-                h.ttl = p[8];
-                h.protocol = p[9];
-                h.total_length = static_cast<std::uint16_t>(packet.bytes.size());
-                h.dont_fragment = (load_u16(p + 6) & 0x4000u) != 0;
-                d.header_length = kIpv4HeaderSize;
-                forward(d, packet, ifindex, &memo, &locals);
-                recycle_wire(packet);
-                continue;
-            }
-            // Anything else the screen caught (broadcast, forwarding off,
-            // oversize, tapped): full decode and the ordinary dispatch
-            // below — the screen guarantees Ok, the vouch skips the
-            // checksum verify.
-            d = DecodedDatagram{};
-            st = decode_datagram_status(packet.bytes, d, false);
-        } else {
-            d = DecodedDatagram{};
-            st = decode_datagram_status(packet.bytes, d, !packet.csum_ok);
-        }
-        if (st == DecodeStatus::Malformed) {
-            if (in_run) { run_handler_->end_run(); in_run = false; }
-            counters_.inc(telemetry::Counter::IpDropMalformed);
-            note(telemetry::PacketEvent::Drop, d.header, packet.size(),
-                 telemetry::DropReason::Malformed);
-            recycle_wire(packet);
-            continue;
-        }
-        if (st == DecodeStatus::BadChecksum) {
-            if (in_run) { run_handler_->end_run(); in_run = false; }
-            counters_.inc(telemetry::Counter::IpDropChecksum);
-            note(telemetry::PacketEvent::Drop, d.header, packet.size(),
-                 telemetry::DropReason::Checksum);
-            recycle_wire(packet);
-            continue;
-        }
-        // GRO lane (DESIGN.md §12): a checksum-vouched, non-fragment
-        // datagram of the run protocol addressed to this host is offered
-        // straight to the run handler — same Rx/Deliver notes and counts
-        // as process_datagram → deliver_local would have produced, then
-        // one handler call instead of the map probe + full dispatch.
-        if (run_handler_ != nullptr && packet.csum_ok &&
-            d.header.protocol == run_protocol_ && !d.header.is_fragment() &&
-            is_local_address(d.header.dst)) {
-            const Ipv4Header& h = d.header;
-            const auto payload = payload_of(packet.bytes, d);
-            note(telemetry::PacketEvent::Rx, h, packet.size());
-            counters_.inc(telemetry::Counter::IpDeliver);
-            note(telemetry::PacketEvent::Deliver, h,
-                 kIpv4HeaderSize + payload.size());
-            if (run_handler_->on_run_segment(h, payload, ifindex)) {
-                in_run = true;
-            } else {
-                // Declined (odd flags, out of order, …): close the run at
-                // this boundary and hand the segment to the ordinary
-                // per-datagram entry, checksum vouch still in effect.
-                if (in_run) { run_handler_->end_run(); in_run = false; }
-                rx_csum_ok_ = true;
-                run_handler_->on_datagram(h, payload, ifindex);
-                rx_csum_ok_ = false;
-            }
-            recycle_wire(packet);
-            continue;
-        }
-        if (in_run) { run_handler_->end_run(); in_run = false; }
-        process_datagram(d, packet, ifindex, &memo, &locals);
-        recycle_wire(packet);  // no-op when forwarding moved the buffer on
-    }
-    if (in_run) run_handler_->end_run();
-    counters_.add(telemetry::Counter::IpRx, locals.rx);
-    counters_.add(telemetry::Counter::IpFwd, locals.fwd);
-    counters_.add(telemetry::Counter::IpRouteCacheHit, locals.cache_hits);
-    counters_.add(telemetry::Counter::IpRouteCacheMiss, locals.cache_misses);
-    return i;
+    forward(d, packet, rx);
 }
 
 void IpStack::deliver_local(const Ipv4Header& header, std::span<const std::uint8_t> payload,
@@ -680,9 +604,7 @@ void IpStack::deliver_local(const Ipv4Header& header, std::span<const std::uint8
     }
 }
 
-void IpStack::forward(const DecodedDatagram& d, link::Packet& packet,
-                      std::size_t in_ifindex, RouteMemo* memo, ForwardLocals* locals) {
-    (void)in_ifindex;
+void IpStack::forward(const DecodedDatagram& d, link::Packet& packet, RxState& rx) {
     const Ipv4Header& header = d.header;
     const std::span<const std::uint8_t> wire = packet.bytes;
     if (header.ttl <= 1) {
@@ -692,31 +614,28 @@ void IpStack::forward(const DecodedDatagram& d, link::Packet& packet,
         send_icmp_error(IcmpType::TimeExceeded, 0, wire);
         return;
     }
+    // The delivery's memo answers repeats without re-hashing. A memo hit
+    // is counted as the cache hit a fresh probe would have scored — same
+    // dst and unchanged generation mean the way the probe refilled is
+    // still resident in its set.
     const Route* route;
-    if (memo != nullptr) {
-        // Burst path: the memo answers repeats without re-hashing. A memo
-        // hit is counted as the cache hit the per-packet probe would have
-        // scored — same dst and unchanged generation mean the way the
-        // probe refilled is still resident in its set.
-        const std::uint64_t generation = routes_.generation();
-        if (memo->valid && memo->dst == header.dst && memo->generation == generation) {
-            ++locals->cache_hits;
-            route = memo->route;
-        } else {
-            bool hit = false;
-            route = probe_route_cache(header.dst, hit);
-            if (hit) {
-                ++locals->cache_hits;
-            } else {
-                ++locals->cache_misses;
-            }
-            memo->dst = header.dst;
-            memo->route = route;
-            memo->generation = generation;
-            memo->valid = true;
-        }
+    RouteMemo& memo = rx.memo;
+    const std::uint64_t generation = routes_.generation();
+    if (memo.valid && memo.dst == header.dst && memo.generation == generation) {
+        ++rx.locals.cache_hits;
+        route = memo.route;
     } else {
-        route = lookup_route(header.dst);
+        bool hit = false;
+        route = probe_route_cache(header.dst, hit);
+        if (hit) {
+            ++rx.locals.cache_hits;
+        } else {
+            ++rx.locals.cache_misses;
+        }
+        memo.dst = header.dst;
+        memo.route = route;
+        memo.generation = generation;
+        memo.valid = true;
     }
     if (route == nullptr) {
         counters_.inc(telemetry::Counter::IpDropNoRoute);
@@ -749,11 +668,7 @@ void IpStack::forward(const DecodedDatagram& d, link::Packet& packet,
             route->next_hop.is_unspecified() ? header.dst : route->next_hop;
         decrement_ttl(packet.bytes);
         iface.netif->send(std::move(packet), next_hop);
-        if (locals != nullptr) {
-            ++locals->fwd;
-        } else {
-            counters_.inc(telemetry::Counter::IpFwd);
-        }
+        ++rx.locals.fwd;
         if (trace_ || forward_tap_ || recorder_ != nullptr) {
             // Observers want the header as sent; built only when someone
             // is actually watching.
@@ -776,11 +691,7 @@ void IpStack::forward(const DecodedDatagram& d, link::Packet& packet,
     if (packet.csum_deferred) link::materialize_checksum(packet);
     const auto payload = payload_of(wire, d);
     if (transmit(out, payload, *route)) {
-        if (locals != nullptr) {
-            ++locals->fwd;
-        } else {
-            counters_.inc(telemetry::Counter::IpFwd);
-        }
+        ++rx.locals.fwd;
         note(telemetry::PacketEvent::Fwd, out, wire.size());
         if (forward_tap_) forward_tap_(out, wire.size());
     }

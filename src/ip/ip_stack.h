@@ -320,9 +320,9 @@ private:
         bool valid = false;
     };
 
-    /// Hot-path counters a burst accumulates in registers and flushes once
-    /// per burst (or at a bail) — the flush lands before any other event
-    /// runs, so every observer sees per-packet-exact values.
+    /// Hot-path counters a delivery accumulates in registers and flushes
+    /// once at its end (or at a bail) — the flush lands before any other
+    /// event runs, so every observer sees per-packet-exact values.
     struct ForwardLocals {
         std::uint64_t rx = 0;
         std::uint64_t fwd = 0;
@@ -330,29 +330,58 @@ private:
         std::uint64_t cache_misses = 0;
     };
 
+    /// Receive state shared by the packets of one delivery: the burst's
+    /// route memo, its batched counters and its open GRO run. A per-packet
+    /// arrival gets a fresh one with `runs` off — a run is a property of
+    /// one burst delivery, so a lone datagram goes to on_datagram().
+    struct RxState {
+        RouteMemo memo;
+        ForwardLocals locals;
+        bool runs = false;    ///< GRO runs may open (burst delivery)
+        bool in_run = false;  ///< a GRO run is open in the run handler
+    };
+
+    /// Per-packet arrival: the receive body on a fresh RxState.
     void receive(std::size_t ifindex, link::Packet packet);
 
-    /// The burst receive path (DESIGN.md §"burst forwarding"): pass 1
-    /// decodes every header into a stack-resident descriptor array with
-    /// prefetch; pass 2 commits packets one by one, advancing the clock to
-    /// each arrival and bailing the moment another event would interleave.
-    /// Returns how many items were consumed (>= 1).
+    /// The burst receive path (DESIGN.md §"burst forwarding"): runs the
+    /// receive body per packet, advancing the clock to each arrival and
+    /// bailing the moment another event would interleave. Returns how many
+    /// items were consumed (>= 1).
     std::size_t receive_burst(std::size_t ifindex, link::PacketBurst& burst);
 
-    /// Everything receive() does after a successful decode: trace/record
-    /// Rx, deliver locally or forward. Shared verbatim by the per-packet
-    /// and burst paths so they cannot drift.
+    /// The one per-datagram receive body, shared by receive() and
+    /// receive_burst(): the quick lanes, the full-decode fallback and the
+    /// dispatch. Leaves the packet's buffer with the caller unless
+    /// forwarding moved it on.
+    void receive_one(std::size_t ifindex, link::Packet& packet, RxState& rx);
+    /// Closes the open GRO run and flushes the batched counters — before
+    /// any other event runs, so every observer sees per-packet-exact
+    /// values.
+    void finish_rx(RxState& rx);
+    /// Hands a screened, vouched run-protocol datagram for this host to
+    /// the run handler: as a run segment when runs are open, else (or on
+    /// a decline) to its per-datagram entry.
+    void offer_run_segment(const Ipv4Header& h, std::span<const std::uint8_t> payload,
+                           std::size_t ifindex, RxState& rx);
+    void close_run(RxState& rx) {
+        if (rx.in_run) {
+            run_handler_->end_run();
+            rx.in_run = false;
+        }
+    }
+
+    /// Everything the receive body does after a successful decode:
+    /// trace/record Rx, deliver locally or forward.
     void process_datagram(const DecodedDatagram& d, link::Packet& packet,
-                          std::size_t ifindex, RouteMemo* memo, ForwardLocals* locals);
+                          std::size_t ifindex, RxState& rx);
     void deliver_local(const Ipv4Header& header, std::span<const std::uint8_t> payload,
                        std::size_t ifindex);
     /// Forwarding takes the owned packet: the non-fragmenting fast path
     /// rewrites TTL/checksum in place and moves the buffer straight to the
     /// egress interface. On every other path the packet is left with the
-    /// caller, which recycles it. `memo`/`locals` are non-null only on the
-    /// burst path.
-    void forward(const DecodedDatagram& d, link::Packet& packet, std::size_t in_ifindex,
-                 RouteMemo* memo = nullptr, ForwardLocals* locals = nullptr);
+    /// caller, which recycles it.
+    void forward(const DecodedDatagram& d, link::Packet& packet, RxState& rx);
     bool transmit(const Ipv4Header& header, std::span<const std::uint8_t> payload,
                   const Route& route);
     void handle_icmp(const Ipv4Header& header, std::span<const std::uint8_t> payload);
@@ -360,7 +389,7 @@ private:
                          std::span<const std::uint8_t> offending_wire);
 
     /// Cached longest-prefix match (nullptr = no route). Serves the
-    /// per-packet lookups in send() and forward().
+    /// lookups of locally originated datagrams.
     const Route* lookup_route(util::Ipv4Address dst);
 
     /// Uncounted route peek for viability probes: reads the cache line but

@@ -9,29 +9,48 @@ Reassembler::Reassembler(sim::Simulator& sim, sim::Time timeout)
 
 std::optional<util::ByteBuffer> Reassembler::add_fragment(
     const Ipv4Header& header, std::span<const std::uint8_t> payload) {
-    expire(sim_.now());
+    const sim::Time now = sim_.now();
+    expire(now);
     ++stats_.fragments_received;
 
     const Key key{header.src.value(), header.dst.value(), header.protocol,
                   header.identification};
-    Buffer& buf = buffers_[key];
-    if (buf.received.empty()) {
-        buf.deadline = sim_.now() + timeout_;
+    PendingIt it;
+    if (const auto found = index_.find(key); found != index_.end()) {
+        it = found->second;
+    } else {
+        if (order_.size() == kMaxPending) evict(order_.begin());
+        it = order_.insert(order_.end(), Pending{key, Buffer{}});
+        it->buf.deadline = now + timeout_;
+        index_.emplace(key, it);
     }
+    Buffer& buf = it->buf;
 
     const std::size_t offset = header.payload_offset_bytes();
+    const std::size_t size_before = buf.data.size();
     insert_range(buf, offset, payload);
+    bytes_ += buf.data.size() - size_before;
     if (!header.more_fragments) {
         buf.total_length = offset + payload.size();
     }
 
-    if (!complete(buf)) return std::nullopt;
-
-    util::ByteBuffer out = std::move(buf.data);
-    out.resize(*buf.total_length);
-    buffers_.erase(key);
-    ++stats_.datagrams_completed;
-    return out;
+    if (complete(buf)) {
+        util::ByteBuffer out = std::move(buf.data);
+        bytes_ -= out.size();
+        out.resize(*buf.total_length);
+        index_.erase(key);
+        order_.erase(it);
+        ++stats_.datagrams_completed;
+        return out;
+    }
+    // Over the byte limit: evict oldest first, sparing the datagram this
+    // fragment just grew (no single datagram can reach the limit alone).
+    while (bytes_ > kMaxBufferedBytes) {
+        auto victim = order_.begin();
+        if (victim == it) ++victim;
+        evict(victim);
+    }
+    return std::nullopt;
 }
 
 void Reassembler::insert_range(Buffer& buf, std::size_t offset,
@@ -62,16 +81,24 @@ bool Reassembler::complete(const Buffer& buf) const {
 }
 
 void Reassembler::expire(sim::Time now) {
-    for (auto it = buffers_.begin(); it != buffers_.end();) {
-        if (it->second.deadline <= now) {
-            it = buffers_.erase(it);
-            ++stats_.timeouts;
-            if (counters_ != nullptr)
-                counters_->inc(telemetry::Counter::IpDropReassemblyTimeout);
-        } else {
-            ++it;
-        }
+    while (!order_.empty() && order_.front().buf.deadline <= now) {
+        erase(order_.begin());
+        ++stats_.timeouts;
+        if (counters_ != nullptr)
+            counters_->inc(telemetry::Counter::IpDropReassemblyTimeout);
     }
+}
+
+void Reassembler::evict(PendingIt it) {
+    erase(it);
+    ++stats_.evictions;
+    if (counters_ != nullptr) counters_->inc(telemetry::Counter::IpDropReassemblyOverflow);
+}
+
+void Reassembler::erase(PendingIt it) {
+    bytes_ -= it->buf.data.size();
+    index_.erase(it->key);
+    order_.erase(it);
 }
 
 }  // namespace catenet::ip

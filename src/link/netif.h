@@ -29,6 +29,11 @@ struct NetIfStats {
     std::uint64_t bytes_received = 0;
     std::uint64_t send_failures = 0;  // down interface or unresolvable next hop
     std::uint64_t busy_ns = 0;  // time the transmitter spent clocking bits out
+    // Burst-chain diagnostics (point-to-point ports only). Like the event
+    // count they describe how delivery was batched, not what was
+    // delivered, so twin comparisons across engine modes leave them out.
+    std::uint64_t chain_runs = 0;   // chain fires that delivered two or more
+    std::uint64_t chain_bails = 0;  // chain fires cut after a single packet
 };
 
 class NetIf {

@@ -45,18 +45,22 @@ public:
         if (now >= busy_until_ && queue_->empty()) {
             // Idle wire, no backlog: any discipline would hand this exact
             // packet straight back, so it skips the queue entirely.
-            // Stream detection: a line-rate stream hands the wire its next
-            // packet exactly at the serialization boundary (now ==
-            // busy_until_) or while earlier entries still propagate
-            // (ring_count_ != 0) — those ride the in-flight ring so runs
-            // stay contiguous and deliver as bursts. A send after any
-            // strictly positive idle gap is latency traffic: the
-            // per-packet transmit is exact there (burst eligibility
-            // guarantees no channel randomness — chance(0) never draws —
-            // so one delivery event at now + tx + propagation is the
-            // identical, and cheapest, schedule), keeping single-packet
-            // latency free of ring/chain bookkeeping.
-            if (burst_ && (ring_count_ != 0 || now == busy_until_)) {
+            // Stream rule: a send behind entries still propagating
+            // (ring_count_ != 0) joins the in-flight ring, so runs stay
+            // contiguous and deliver as bursts. A send at the serialization
+            // boundary (now == busy_until_) starts a ring run only while
+            // this port is streaming (hold_off_ == 0): once a chain fire
+            // bails after a single packet, the stream is contended — other
+            // traffic interleaves every arrival — and the ring would only
+            // add bookkeeping to a per-packet schedule, so such sends go
+            // per packet until a run delivers again or the hold-off runs
+            // out and one probes the ring. Everything else (a send after a
+            // strictly positive idle gap) takes the per-packet transmit,
+            // which is exact here: burst eligibility guarantees no channel
+            // randomness (chance(0) never draws), so one delivery event at
+            // now + tx + propagation is the identical, and cheapest,
+            // schedule.
+            if (burst_ && (ring_count_ != 0 || (now == busy_until_ && stream_open()))) {
                 transmit_burst_single(std::move(packet), now);
             } else {
                 transmit(std::move(packet));
@@ -296,31 +300,74 @@ private:
     /// arrival time — advance_if_idle moves the clock and counts the event
     /// the per-packet engine would have fired, or refuses, in which case
     /// the chain reschedules and the pending event sees fully settled
-    /// state.
+    /// state. A run cut by a pending event reschedules directly: the
+    /// refusal is already known. The fire's outcome drives the stream
+    /// rule in send(): a run of two or more reopens the stream, a bail
+    /// after one packet holds it off.
     void chain_fire() {
         chain_pending_ = false;
+        std::size_t delivered = 0;
         for (;;) {
-            const std::size_t consumed = deliver_run();
+            const Run run = deliver_run();
+            delivered += run.consumed;
             settle(link_.sim_.now());
-            ring_pop_front(consumed);
-            if (ring_count_ == 0) return;
+            ring_pop_front(run.consumed);
+            if (ring_count_ == 0) break;
             const sim::Time next_arrival = ring_at(0).arrival;
-            if (!link_.sim_.advance_if_idle(next_arrival)) {
+            if (run.cut || !link_.sim_.advance_if_idle(next_arrival)) {
                 schedule_chain(next_arrival);
-                return;
+                if (delivered == 1) {
+                    ++stats_.chain_bails;
+                    if (hold_off_ == 0) {
+                        hold_off_ = backoff_;
+                        backoff_ = std::min(2 * backoff_, kMaxHoldOff);
+                    }
+                }
+                break;
             }
+        }
+        if (delivered >= 2) {
+            ++stats_.chain_runs;
+            hold_off_ = 0;
+            backoff_ = kMinHoldOff;
         }
     }
 
-    /// Delivers a prefix of the ring (clock at the head entry's arrival).
-    /// Returns how many entries were consumed — always at least one.
-    std::size_t deliver_run() {
-        const std::size_t run = std::min(ring_count_, burst_limit());
-        // Runs of one take the burst entry too: the fused receive commits
-        // lazily with no per-burst descriptor arrays, so its n=1 fixed
-        // cost is below the per-packet path's (which always decodes in
-        // full and must materialize a deferred checksum for its byte
-        // observers).
+    /// Stream rule (see send()): may a boundary send start a ring run? A
+    /// held-off port answers no, counting the hold-off down; the send that
+    /// finds it spent probes the ring again.
+    bool stream_open() noexcept {
+        if (hold_off_ == 0) return true;
+        --hold_off_;
+        return false;
+    }
+
+    /// What one deliver_run() consumed, and whether the next ring entry is
+    /// known to be refused by advance_if_idle (a pending event fires at or
+    /// before its arrival).
+    struct Run {
+        std::size_t consumed;
+        bool cut;
+    };
+
+    /// Delivers a prefix of the ring (clock at the head entry's arrival);
+    /// always consumes at least one entry. One engine peek bounds the
+    /// prefix to the arrivals no pending event precedes, so neither the
+    /// burst nor the receiver touches entries it cannot consume. The
+    /// receiver may still stop early: processing a packet can schedule an
+    /// event ahead of the next arrival.
+    Run deliver_run() {
+        std::size_t run = std::min(ring_count_, burst_limit());
+        bool cut = false;
+        if (run > 1) {
+            const std::int64_t next_event =
+                link_.sim_.next_event_ns(ring_at(run - 1).arrival.nanos());
+            std::size_t k = 1;
+            while (k < run && ring_at(k).arrival.nanos() < next_event) ++k;
+            cut = k < run;
+            run = k;
+        }
+        std::size_t consumed = 0;
         if (peer_ != nullptr && link_.up_ && peer_->burst_capable()) {
             PacketBurst burst;
             for (std::size_t i = 0; i < run; ++i) {
@@ -328,24 +375,24 @@ private:
                 burst.items[i] = PacketBurst::Item{&e.packet, e.arrival};
             }
             burst.count = run;
-            return peer_->deliver_burst(burst);
-        }
-        // Per-entry fallback (down link, no peer, or a tap receiver):
-        // byte-for-byte the per-packet delivery lambda, at each packet's
-        // own arrival time.
-        std::size_t i = 0;
-        for (; i < run; ++i) {
-            FlightEntry& e = ring_at(i);
-            if (i > 0 && !link_.sim_.advance_if_idle(e.arrival)) break;
-            if (peer_ != nullptr && link_.up_) {
-                peer_->receive_from_peer(std::move(e.packet));
-            } else {
-                // In flight when the link failed: lost on the wire.
-                ++channel_stats_.packets_lost;
-                link_.sim_.buffer_pool().recycle(std::move(e.packet.bytes));
+            consumed = peer_->deliver_burst(burst);
+        } else {
+            // Per-entry fallback (down link, no peer, or a tap receiver):
+            // byte-for-byte the per-packet delivery lambda, at each
+            // packet's own arrival time.
+            for (; consumed < run; ++consumed) {
+                FlightEntry& e = ring_at(consumed);
+                if (consumed > 0 && !link_.sim_.advance_if_idle(e.arrival)) break;
+                if (peer_ != nullptr && link_.up_) {
+                    peer_->receive_from_peer(std::move(e.packet));
+                } else {
+                    // In flight when the link failed: lost on the wire.
+                    ++channel_stats_.packets_lost;
+                    link_.sim_.buffer_pool().recycle(std::move(e.packet.bytes));
+                }
             }
         }
-        return i;
+        return Run{consumed, cut || consumed < run};
     }
 
     // One-entry memo over LinkParams::transmission_time. A port in steady
@@ -449,6 +496,16 @@ private:
     std::size_t ring_settled_ = 0;
     sim::EventId chain_id_ = sim::kInvalidEventId;
     bool chain_pending_ = false;
+    /// Stream rule state (see send()). A chain fire that bails after one
+    /// packet holds boundary sends off the ring for hold_off_ sends; a run
+    /// of two or more clears it. A forwarding port fed at exactly line rate
+    /// never builds the backlog that would deliver such a run, so the
+    /// hold-off expires and the next boundary send probes the ring; each
+    /// probe that bails again doubles the next hold-off, up to a cap.
+    static constexpr std::uint32_t kMinHoldOff = 64;
+    static constexpr std::uint32_t kMaxHoldOff = 4096;
+    std::uint32_t hold_off_ = 0;  ///< boundary sends left before a probe
+    std::uint32_t backoff_ = kMinHoldOff;
 };
 
 PointToPointLink::PointToPointLink(sim::Simulator& sim, util::Rng& parent_rng,

@@ -76,6 +76,8 @@ enum class Counter : std::uint16_t {
     TcpGsoSegs,    ///< wire segments produced by late splits at the link
     TcpGroRuns,    ///< receive runs (>= 2 segments) coalesced by the fast lane
     TcpGroSegs,    ///< segments consumed through the run fast lane
+    // --- internet layer, appended ---------------------------------------
+    IpDropReassemblyOverflow,  ///< oldest partial datagram evicted at a limit
     kCount,
 };
 
@@ -130,6 +132,7 @@ constexpr const char* counter_name(Counter c) noexcept {
         case Counter::TcpGsoSegs: return "tcp.gso_segs";
         case Counter::TcpGroRuns: return "tcp.gro_runs";
         case Counter::TcpGroSegs: return "tcp.gro_segs";
+        case Counter::IpDropReassemblyOverflow: return "ip.drop.reassembly_overflow";
         case Counter::kCount: break;
     }
     return "?";
@@ -146,6 +149,7 @@ constexpr Counter drop_counter(DropReason r) noexcept {
         case DropReason::IfaceDown: return Counter::IpDropIfaceDown;
         case DropReason::NotForUs: return Counter::IpDropNotForUs;
         case DropReason::ReassemblyTimeout: return Counter::IpDropReassemblyTimeout;
+        case DropReason::ReassemblyOverflow: return Counter::IpDropReassemblyOverflow;
         case DropReason::None:
         case DropReason::kCount: break;
     }

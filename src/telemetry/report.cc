@@ -70,6 +70,11 @@ MetricsReport MetricsReport::collect(const Registry& registry, sim::Time now,
         LinkRow row;
         row.name = l.name;
         row.boundary = l.boundary;
+        for (const link::NetIfStats* st : {l.if_a, l.if_b}) {
+            if (st == nullptr) continue;
+            row.chain_runs += st->chain_runs;
+            row.chain_bails += st->chain_bails;
+        }
         if (l.if_a != nullptr) {
             row.pkts_a_to_b = l.if_a->packets_sent;
             row.bytes_a_to_b = l.if_a->bytes_sent;
@@ -149,6 +154,8 @@ std::string MetricsReport::to_json() const {
         out += ",\"queue_bytes_dropped\":" + std::to_string(l.queue_bytes_dropped);
         out += ",\"channel_lost\":" + std::to_string(l.channel_lost);
         out += ",\"channel_corrupted\":" + std::to_string(l.channel_corrupted);
+        out += ",\"chain_runs\":" + std::to_string(l.chain_runs);
+        out += ",\"chain_bails\":" + std::to_string(l.chain_bails);
         out += '}';
     }
     out += "],\"gauges\":[";

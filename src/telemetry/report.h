@@ -31,6 +31,10 @@ struct MetricsReport {
         std::uint64_t pkts_b_to_a = 0, bytes_b_to_a = 0;
         std::uint64_t queue_drops = 0, queue_bytes_dropped = 0;
         std::uint64_t channel_lost = 0, channel_corrupted = 0;
+        /// Burst-chain fires, both directions: runs of two or more
+        /// delivered, and fires cut after one packet. Engine mechanics, so
+        /// the JSON carries them but the table leaves them out.
+        std::uint64_t chain_runs = 0, chain_bails = 0;
         /// Fraction of the run each direction's transmitter was busy;
         /// negative when unknown (boundary ports don't track busy time).
         double util_a_to_b = -1.0, util_b_to_a = -1.0;

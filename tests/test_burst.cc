@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "core/internetwork.h"
+#include "core/topology_gen.h"
 #include "ip/ip_stack.h"
 #include "ip/trace.h"
 #include "link/packet.h"
@@ -240,6 +241,163 @@ TEST(BurstTwin, EveryObservableSurfaceMatchesPerPacketEngine) {
 
 TEST(BurstTwin, BurstModeReplaysExactly) {
     EXPECT_EQ(run_twin_scenario(32), run_twin_scenario(32));
+}
+
+// --- the contended twin ----------------------------------------------------
+
+/// The soak's shape in miniature: equal trains injected at one instant
+/// across a generated two-tier internet move through the core in
+/// lock-step, so chains bail after one packet and the stream rule sends
+/// the rest per packet. Everything but events and the chain diagnostics
+/// must still match the per-packet engine.
+struct LockstepRun {
+    Observation obs;
+    std::vector<std::uint64_t> leaf_delivered;  ///< per leaf host
+    std::uint64_t chain_runs = 0;
+    std::uint64_t chain_bails = 0;
+};
+
+LockstepRun run_lockstep_scenario(std::size_t burst) {
+    constexpr std::uint32_t kLans = 16;
+    constexpr std::uint32_t kHosts = 4;
+    core::Internetwork net(5);
+    core::TwoTierParams params;
+    params.gateways = 12;
+    params.lans = kLans;
+    params.hosts_per_lan = kHosts;
+    params.seed = 3;
+    params.trunk.bits_per_second = 1'000'000'000;
+    params.trunk.propagation_delay = sim::microseconds(50);
+    params.trunk.queue_capacity_packets = 256;
+    params.trunk.burst = burst;
+    const core::TwoTierTopology topo_gen = core::generate_two_tier(net, params);
+    core::TopologyStore& topo = net.topology();
+
+    net.enable_gauge_sampling(sim::microseconds(20));
+    telemetry::FlightRecorder& rec = net.attach_flight_recorder();
+    ip::TraceCollector traces;
+    for (core::Gateway* gw : topo_gen.gateways) {
+        const std::size_t lane = traces.add_lane(gw->name());
+        gw->ip().set_trace(traces.make_tracer(lane, gw->name(), net.sim()));
+    }
+
+    const std::uint8_t payload[8] = {0xC5, 0, 0, 0, 0, 0, 0, 0};
+    for (std::uint32_t wave = 0; wave < 6; ++wave) {
+        // One train per LAN toward the LAN half the ring away, all at once.
+        for (std::uint32_t l = 0; l < kLans; ++l) {
+            const std::uint32_t dst_lan = (l + kLans / 2) % kLans;
+            const core::NodeId src = topo.leaf_host(topo_gen.leaf_lans[l], wave % kHosts);
+            const core::NodeId dst = topo.leaf_host(topo_gen.leaf_lans[dst_lan], wave % kHosts);
+            topo.leaf_inject_train(src, topo.address(dst), kProto, payload, 16, 64);
+        }
+        net.run_for(sim::milliseconds(5));
+    }
+
+    LockstepRun run;
+    Observation& obs = run.obs;
+    obs.counters = net.metrics().totals();
+    obs.link_bytes = net.total_link_bytes();
+    obs.delivered_at_b = topo.leaf_delivered_total();
+    obs.trace = traces.merged();
+    obs.recorder = rec.merged();
+    for (std::size_t li = 0; li < net.link_count(); ++li) {
+        link::PointToPointLink& l = net.link(li);
+        append_port(obs.port_stats, l.port_a());
+        append_port(obs.port_stats, l.port_b());
+        append_queue(obs.queue_stats, l.queue_a().stats());
+        append_queue(obs.queue_stats, l.queue_b().stats());
+        for (const link::NetIf* port : {&l.port_a(), &l.port_b()}) {
+            run.chain_runs += port->stats().chain_runs;
+            run.chain_bails += port->stats().chain_bails;
+        }
+    }
+    for (std::size_t si = 0; si < net.metrics().series_count(); ++si) {
+        const telemetry::GaugeSeries& s = net.metrics().series(si);
+        for (std::size_t k = 0; k < s.held(); ++k) {
+            obs.gauges.emplace_back(s.at(k).t_ns, s.at(k).value);
+        }
+    }
+    for (const std::uint32_t lan : topo_gen.leaf_lans) {
+        for (std::uint32_t h = 0; h < kHosts; ++h) {
+            run.leaf_delivered.push_back(topo.leaf_delivered(topo.leaf_host(lan, h)));
+        }
+    }
+    return run;
+}
+
+TEST(BurstTwin, LockstepTrainsMatchPerPacketEngine) {
+    const LockstepRun burst = run_lockstep_scenario(32);
+    const LockstepRun legacy = run_lockstep_scenario(1);
+    EXPECT_EQ(burst.obs.counters.slots, legacy.obs.counters.slots);
+    EXPECT_EQ(burst.obs.link_bytes, legacy.obs.link_bytes);
+    EXPECT_EQ(burst.leaf_delivered, legacy.leaf_delivered);
+    EXPECT_EQ(burst.obs.port_stats, legacy.obs.port_stats);
+    EXPECT_EQ(burst.obs.queue_stats, legacy.obs.queue_stats);
+    EXPECT_EQ(burst.obs.gauges, legacy.obs.gauges);
+    EXPECT_EQ(burst.obs.trace, legacy.obs.trace);
+    EXPECT_EQ(burst.obs.recorder, legacy.obs.recorder);
+    EXPECT_EQ(burst.obs, legacy.obs);
+    // Every train arrived, and the burst run really was contended: chains
+    // bailed after one packet (and the per-packet engine has no chains).
+    EXPECT_EQ(burst.obs.delivered_at_b, 6u * 16u * 16u);
+    EXPECT_GT(burst.chain_bails, 0u);
+    EXPECT_EQ(legacy.chain_runs + legacy.chain_bails, 0u);
+}
+
+// --- the stream rule ---------------------------------------------------------
+
+TEST(BurstStreamRule, BailHoldsBoundarySendsOffTheRingUntilARunDelivers) {
+    // a -- b over one wan link: tx(532 B) = 42.56 us, 2 ms propagation.
+    core::Internetwork net(3);
+    core::Host& a = net.add_host("a");
+    core::Host& b = net.add_host("b");
+    net.connect(a, b, wan(32));
+    net.use_static_routes();
+    std::uint64_t delivered = 0;
+    b.ip().register_protocol(kProto, [&delivered](const ip::Ipv4Header&,
+                                                  std::span<const std::uint8_t>,
+                                                  std::size_t) { ++delivered; });
+    const link::NetIf& port = a.ip().interface(0);
+    const util::ByteBuffer payload(512, 7);
+    const sim::Time tx = sim::nanoseconds(42'560);
+    auto send_at = [&](sim::Time t) {
+        net.sim().schedule_at(t, [&] { a.ip().send(kProto, b.address(), payload); });
+    };
+
+    // 1. Two back-to-back datagrams ride the ring; a foreign event between
+    //    their arrivals cuts the chain after the first: a bail after one.
+    send_at(sim::Time(0));
+    send_at(sim::Time(0));
+    net.sim().schedule_at(sim::milliseconds(2) + tx + tx / 2, [] {});
+    net.sim().run();
+    EXPECT_EQ(delivered, 2u);
+    EXPECT_EQ(port.stats().chain_bails, 1u);
+    EXPECT_EQ(port.stats().chain_runs, 0u);
+
+    // 2. A stream at the serialization boundary now goes per packet: the
+    //    first send follows an idle gap, the next two land exactly on the
+    //    boundary. On the ring they would have delivered as a run of two.
+    const sim::Time t1 = sim::milliseconds(10);
+    for (int i = 0; i < 3; ++i) send_at(t1 + tx * i);
+    net.sim().run();
+    EXPECT_EQ(delivered, 5u);
+    EXPECT_EQ(port.stats().chain_runs, 0u) << "a held-off port sent on the ring";
+    EXPECT_EQ(port.stats().chain_bails, 1u);
+
+    // 3. A backlog drained as a run of two reopens the stream...
+    const sim::Time t2 = sim::milliseconds(20);
+    for (int i = 0; i < 3; ++i) send_at(t2);
+    net.sim().run();
+    EXPECT_EQ(delivered, 8u);
+    EXPECT_EQ(port.stats().chain_runs, 1u);
+
+    // 4. ...so the same boundary stream rides the ring again.
+    const sim::Time t3 = sim::milliseconds(30);
+    for (int i = 0; i < 3; ++i) send_at(t3 + tx * i);
+    net.sim().run();
+    EXPECT_EQ(delivered, 11u);
+    EXPECT_EQ(port.stats().chain_runs, 2u) << "the stream did not reopen";
+    EXPECT_EQ(port.stats().chain_bails, 1u);
 }
 
 // --- edge cases ----------------------------------------------------------

@@ -8,6 +8,7 @@
 #include "ip/protocols.h"
 #include "ip/reassembly.h"
 #include "link/presets.h"
+#include "telemetry/counters.h"
 #include "util/checksum.h"
 
 namespace catenet::ip {
@@ -74,6 +75,70 @@ TEST_F(ReasmEdge, ManyIncompleteDatagramsAreBoundedByTimeout) {
     reasm.add_fragment(frag(9999, 0, true), util::ByteBuffer(8, 1));
     EXPECT_EQ(reasm.pending(), 1u) << "flood state must evaporate";
     EXPECT_EQ(reasm.stats().timeouts, 200u);
+}
+
+TEST_F(ReasmEdge, FragmentFloodStaysAtTheCapAndEvictsOldestFirst) {
+    // 10k distinct IDs, one leading fragment each: pending state stops at
+    // the cap, every datagram past it evicts exactly one older one, and
+    // each eviction is counted under its own drop reason.
+    telemetry::CounterBlock counters;
+    reasm.set_counters(&counters);
+    constexpr std::size_t kFlood = 10'000;
+    constexpr std::size_t kCap = Reassembler::kMaxPending;
+    for (std::size_t i = 0; i < kFlood; ++i) {
+        reasm.add_fragment(frag(static_cast<std::uint16_t>(i), 0, true),
+                           util::ByteBuffer(8, 1));
+        ASSERT_LE(reasm.pending(), kCap);
+    }
+    EXPECT_EQ(reasm.pending(), kCap);
+    EXPECT_EQ(reasm.stats().evictions, kFlood - kCap);
+    EXPECT_EQ(counters.get(telemetry::Counter::IpDropReassemblyOverflow), kFlood - kCap);
+    EXPECT_EQ(reasm.stats().timeouts, 0u);
+
+    // A legitimate datagram fragmented behind the flood still reassembles
+    // (its first fragment evicts the oldest flood entry).
+    Ipv4Header head = frag(1, 0, true);
+    head.src = Ipv4Address(3, 3, 3, 3);
+    Ipv4Header tail = frag(1, 16, false);
+    tail.src = head.src;
+    EXPECT_FALSE(reasm.add_fragment(head, util::ByteBuffer(16, 0xab)).has_value());
+    auto done = reasm.add_fragment(tail, util::ByteBuffer(8, 0xcd));
+    ASSERT_TRUE(done.has_value());
+    ASSERT_EQ(done->size(), 24u);
+    EXPECT_EQ((*done)[0], 0xab);
+    EXPECT_EQ((*done)[23], 0xcd);
+    EXPECT_EQ(reasm.stats().evictions, kFlood - kCap + 1);
+
+    // Oldest first: the newest flood datagram is still there to complete,
+    // the first one is long gone (its tail starts a fresh datagram, in a
+    // slot a completion freed: no eviction).
+    EXPECT_TRUE(reasm.add_fragment(frag(static_cast<std::uint16_t>(kFlood - 1), 8, false),
+                                   util::ByteBuffer(8, 2))
+                    .has_value());
+    EXPECT_FALSE(reasm.add_fragment(frag(0, 8, false), util::ByteBuffer(8, 2)).has_value());
+    EXPECT_EQ(reasm.pending(), kCap - 1);  // two completed, one started
+    EXPECT_EQ(reasm.stats().evictions, kFlood - kCap + 1);
+    EXPECT_EQ(counters.get(telemetry::Counter::IpDropReassemblyOverflow),
+              reasm.stats().evictions);
+}
+
+TEST_F(ReasmEdge, BufferedBytesStayUnderTheByteLimit) {
+    // Large leading fragments hit the byte limit long before the count
+    // limit; the oldest datagrams give way.
+    constexpr std::size_t kFragment = 60'000;
+    constexpr std::size_t kFits = Reassembler::kMaxBufferedBytes / kFragment;
+    for (std::uint16_t id = 0; id < kFits + 3; ++id) {
+        reasm.add_fragment(frag(id, 0, true), util::ByteBuffer(kFragment, 1));
+        ASSERT_LE(reasm.buffered_bytes(), Reassembler::kMaxBufferedBytes);
+    }
+    EXPECT_EQ(reasm.pending(), kFits);
+    EXPECT_EQ(reasm.buffered_bytes(), kFits * kFragment);
+    EXPECT_EQ(reasm.stats().evictions, 3u);
+    // The survivors are the newest: the last one completes.
+    EXPECT_TRUE(reasm.add_fragment(frag(static_cast<std::uint16_t>(kFits + 2), kFragment, false),
+                                   util::ByteBuffer(8, 2))
+                    .has_value());
+    EXPECT_EQ(reasm.buffered_bytes(), (kFits - 1) * kFragment);
 }
 
 TEST_F(ReasmEdge, SameIdentificationAfterCompletionStartsFresh) {

@@ -536,6 +536,35 @@ TEST(Report, JsonIsDeterministicAcrossSameSeedReruns) {
     EXPECT_NE(first.find("\"recorder\":{"), std::string::npos);
 }
 
+TEST(Report, LinkRowsCarryChainDiagnostics) {
+    // A bulk transfer over a burst-eligible link: the data direction's
+    // chain delivers runs, and the report's JSON link row says so. The
+    // table, which leaves engine mechanics out, does not.
+    core::Internetwork net(7);
+    core::Host& a = net.add_host("a");
+    core::Host& b = net.add_host("b");
+    link::LinkParams fat;
+    fat.bits_per_second = 100'000'000;
+    fat.propagation_delay = sim::milliseconds(2);
+    fat.queue_capacity_packets = 64;
+    net.connect(a, b, fat);
+    net.use_static_routes();
+    app::BulkServer server(b, 21);
+    app::BulkSender sender(a, b.address(), 21, 256 * 1024);
+    sender.start();
+    net.run_for(sim::seconds(5));
+
+    const telemetry::MetricsReport report = net.metrics_report();
+    ASSERT_EQ(report.links.size(), 1u);
+    EXPECT_GT(report.links[0].chain_runs, 0u);
+    const std::string json = report.to_json();
+    EXPECT_NE(json.find("\"chain_runs\":" + std::to_string(report.links[0].chain_runs) +
+                        ",\"chain_bails\":" + std::to_string(report.links[0].chain_bails)),
+              std::string::npos)
+        << json;
+    EXPECT_EQ(report.to_table().find("chain"), std::string::npos);
+}
+
 TEST(Report, TableListsNonzeroCountersAndRecorder) {
     core::Internetwork net(7);
     core::Host& a = net.add_host("a");
